@@ -567,10 +567,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         scores[:, PAD_INDEX] = -np.inf
         return scores
 
-    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
-        """Objective-free next-item scores (causal mask only; Table IV usage)."""
-        return self.score_next_batch([history], [user_index])[0]
-
     # ------------------------------------------------------------------ #
     # Incremental decoding sessions (cached scorer variants)
     # ------------------------------------------------------------------ #

@@ -10,9 +10,7 @@ the aggressiveness degree studied in Figure 7.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.base import InfluentialRecommender, influential_registry
+from repro.core.base import BackboneAdaptation, influential_registry
 from repro.core.distance import ItemDistance
 from repro.data.splitting import DatasetSplit
 from repro.models.base import SequentialRecommender
@@ -22,7 +20,7 @@ __all__ = ["Rec2Inf"]
 
 
 @influential_registry.register("rec2inf")
-class Rec2Inf(InfluentialRecommender):
+class Rec2Inf(BackboneAdaptation):
     """Greedy objective-aware re-ranking on top of any sequential recommender.
 
     Parameters
@@ -49,23 +47,16 @@ class Rec2Inf(InfluentialRecommender):
         allow_repeats: bool = False,
         fit_backbone: bool = True,
     ) -> None:
-        super().__init__()
+        super().__init__(backbone, allow_repeats=allow_repeats, fit_backbone=fit_backbone)
         if candidate_k <= 0:
             raise ConfigurationError(f"candidate_k must be positive, got {candidate_k}")
-        self.backbone = backbone
         self.distance = distance
         self.candidate_k = candidate_k
-        self.allow_repeats = allow_repeats
-        self.fit_backbone = fit_backbone
         self.name = f"Rec2Inf-{backbone.name}"
 
     # ------------------------------------------------------------------ #
     def fit(self, split: DatasetSplit) -> "Rec2Inf":
-        self.corpus = split.corpus
-        if self.fit_backbone:
-            self.backbone.fit(split)
-        elif self.backbone.corpus is None:
-            raise ConfigurationError("backbone is not fitted and fit_backbone=False")
+        super().fit(split)
         if self.distance is None:
             self.distance = self._default_distance(split)
         return self
@@ -80,24 +71,10 @@ class Rec2Inf(InfluentialRecommender):
         return ItemDistance.from_embeddings(embedding.vectors)
 
     # ------------------------------------------------------------------ #
-    def next_step(
-        self,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int],
-        user_index: int | None = None,
-    ) -> int | None:
-        self._require_fitted()
+    def _choose(self, objective: int, candidates: list[int]) -> int:
         assert self.distance is not None
-        sequence = list(history) + list(path_so_far)
-        exclude: list[int] = [] if self.allow_repeats else sequence
-        candidates = self.backbone.top_k(
-            sequence, self.candidate_k, user_index=user_index, exclude=exclude
-        )
-        if not candidates:
-            return None
         if objective in candidates:
             # Zero distance to itself: with a large enough candidate set the
             # greedy re-ranking recommends the objective directly (§IV-D3).
-            return int(objective)
+            return objective
         return self.distance.closest_to(objective, candidates)

@@ -8,18 +8,14 @@ the objective only by accident, which is exactly the point of the comparison.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.base import InfluentialRecommender, influential_registry
-from repro.data.splitting import DatasetSplit
+from repro.core.base import BackboneAdaptation, influential_registry
 from repro.models.base import SequentialRecommender
-from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["VanillaInfluential"]
 
 
 @influential_registry.register("vanilla")
-class VanillaInfluential(InfluentialRecommender):
+class VanillaInfluential(BackboneAdaptation):
     """Objective-agnostic path generation with an unmodified backbone."""
 
     def __init__(
@@ -28,29 +24,8 @@ class VanillaInfluential(InfluentialRecommender):
         allow_repeats: bool = False,
         fit_backbone: bool = True,
     ) -> None:
-        super().__init__()
-        self.backbone = backbone
-        self.allow_repeats = allow_repeats
-        self.fit_backbone = fit_backbone
+        super().__init__(backbone, allow_repeats=allow_repeats, fit_backbone=fit_backbone)
         self.name = f"Vanilla-{backbone.name}"
 
-    def fit(self, split: DatasetSplit) -> "VanillaInfluential":
-        self.corpus = split.corpus
-        if self.fit_backbone:
-            self.backbone.fit(split)
-        elif self.backbone.corpus is None:
-            raise ConfigurationError("backbone is not fitted and fit_backbone=False")
-        return self
-
-    def next_step(
-        self,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int],
-        user_index: int | None = None,
-    ) -> int | None:
-        self._require_fitted()
-        sequence = list(history) + list(path_so_far)
-        exclude: list[int] = [] if self.allow_repeats else sequence
-        candidates = self.backbone.top_k(sequence, 1, user_index=user_index, exclude=exclude)
-        return candidates[0] if candidates else None
+    def _choose(self, objective: int, candidates: list[int]) -> int:
+        return candidates[0]

@@ -2,8 +2,8 @@
 
 The IRS metrics operate on *path records*: for each test user we have the
 history ``s_h``, the sampled objective ``i_t`` and the generated influence
-path ``s_p``.  All probability terms ``P(i | s)`` come from the
-:class:`~repro.evaluation.evaluator.IRSEvaluator`.
+path ``s_p``.  All probability terms ``P(i | s)`` come from one batched
+:meth:`~repro.evaluation.evaluator.IRSEvaluator.score_paths` pass.
 
 * ``SR_M`` — fraction of paths that reach the objective within ``M`` steps (Eq. 11).
 * ``IoI_M`` — average increase of ``log P(i_t | ·)`` after the path (Eq. 12).
@@ -23,7 +23,7 @@ import numpy as np
 from repro.utils.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.evaluation.evaluator import IRSEvaluator
+    from repro.evaluation.evaluator import IRSEvaluator, PathScores
     from repro.evaluation.protocol import PathRecord
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "increase_of_interest",
     "increment_of_rank",
     "log_perplexity",
+    "irs_metrics",
     "hit_ratio_at_k",
     "mean_reciprocal_rank",
 ]
@@ -48,17 +49,33 @@ def success_rate(records: Sequence["PathRecord"]) -> float:
     return hits / len(records)
 
 
+def _path_scores(
+    records: Sequence["PathRecord"], evaluator: "IRSEvaluator"
+) -> "list[PathScores]":
+    _require_records(records)
+    return evaluator.score_paths(
+        [(record.history, record.path, record.objective) for record in records]
+    )
+
+
+def _mean_ioi(scores: Sequence["PathScores"]) -> float:
+    return float(np.mean([score.increase_of_interest for score in scores]))
+
+
+def _mean_ior(scores: Sequence["PathScores"]) -> float:
+    return float(np.mean([score.increment_of_rank for score in scores]))
+
+
+def _mean_log_ppl(scores: Sequence["PathScores"]) -> float:
+    per_path = [-float(np.mean(score.item_log_probs)) for score in scores if score.item_log_probs]
+    if not per_path:
+        raise ConfigurationError("all influence paths are empty; cannot compute PPL")
+    return float(np.mean(per_path))
+
+
 def increase_of_interest(records: Sequence["PathRecord"], evaluator: "IRSEvaluator") -> float:
     """``IoI_M``: mean change of ``log P(i_t | s_h ⊕ s_p) - log P(i_t | s_h)``."""
-    _require_records(records)
-    deltas = []
-    for record in records:
-        before = evaluator.log_probability(record.objective, record.history)
-        after = evaluator.log_probability(
-            record.objective, list(record.history) + list(record.path)
-        )
-        deltas.append(after - before)
-    return float(np.mean(deltas))
+    return _mean_ioi(_path_scores(records, evaluator))
 
 
 def increment_of_rank(records: Sequence["PathRecord"], evaluator: "IRSEvaluator") -> float:
@@ -66,13 +83,7 @@ def increment_of_rank(records: Sequence["PathRecord"], evaluator: "IRSEvaluator"
 
     Positive values mean the objective climbed the ranking (closer to 1).
     """
-    _require_records(records)
-    deltas = []
-    for record in records:
-        before = evaluator.rank(record.objective, record.history)
-        after = evaluator.rank(record.objective, list(record.history) + list(record.path))
-        deltas.append(-(after - before))
-    return float(np.mean(deltas))
+    return _mean_ior(_path_scores(records, evaluator))
 
 
 def log_perplexity(records: Sequence["PathRecord"], evaluator: "IRSEvaluator") -> float:
@@ -81,16 +92,20 @@ def log_perplexity(records: Sequence["PathRecord"], evaluator: "IRSEvaluator") -
     Lower values mean the path items are more acceptable to the (simulated)
     user at each step.  Empty paths are skipped.
     """
-    _require_records(records)
-    per_path: list[float] = []
-    for record in records:
-        if not record.path:
-            continue
-        log_probs = evaluator.path_log_probabilities(record.history, record.path)
-        per_path.append(-float(np.mean(log_probs)))
-    if not per_path:
-        raise ConfigurationError("all influence paths are empty; cannot compute PPL")
-    return float(np.mean(per_path))
+    return _mean_log_ppl(_path_scores(records, evaluator))
+
+
+def irs_metrics(
+    records: Sequence["PathRecord"], evaluator: "IRSEvaluator"
+) -> dict[str, float]:
+    """SR, IoI, IoR and log(PPL) of ``records`` from one batched evaluator pass."""
+    scores = _path_scores(records, evaluator)
+    return {
+        "success": success_rate(records),
+        "increase_of_interest": _mean_ioi(scores),
+        "increment_of_rank": _mean_ior(scores),
+        "log_ppl": _mean_log_ppl(scores),
+    }
 
 
 def hit_ratio_at_k(ranks: Sequence[int], k: int = 20) -> float:

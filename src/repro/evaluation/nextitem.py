@@ -51,9 +51,10 @@ def evaluate_next_item(
         raise ConfigurationError("the split has no test instances")
     executor = ShardedExecutor(num_workers, shard_backend)
 
-    # Rank in batched chunks: one model forward per chunk for batched models
-    # (IRN), a transparent scalar loop for the rest.  Chunking bounds the
-    # (chunk, vocab) score matrix the batched path materialises.
+    # Rank in batched chunks: batched network forwards per chunk for the
+    # neural models, a transparent scalar loop for the classical ones.
+    # Chunking bounds the (chunk, vocab) score matrix the batched path
+    # materialises.
     chunk_size = 256
 
     def rank_shard(_shard: int, shard_instances: list) -> list[int]:

@@ -24,12 +24,7 @@ import numpy as np
 from repro.core.base import InfluentialRecommender
 from repro.data.splitting import DatasetSplit, TestInstance
 from repro.evaluation.evaluator import IRSEvaluator
-from repro.evaluation.metrics import (
-    increase_of_interest,
-    increment_of_rank,
-    log_perplexity,
-    success_rate,
-)
+from repro.evaluation.metrics import irs_metrics
 from repro.shard.executor import ShardedExecutor
 from repro.shard.partition import context_key
 from repro.utils.exceptions import ConfigurationError
@@ -264,12 +259,12 @@ class IRSEvaluationProtocol:
         """Run Algorithm 1 for every evaluation instance.
 
         Rollouts go through ``generate_paths_batch`` so recommenders with
-        batched scoring (IRN, the beam planner) fuse all instances that share
-        a step index into single transformer forwards; recommenders without
-        it transparently fall back to the per-instance loop.  Instances are
-        processed in chunks of ``rollout_chunk_size`` so the fused logits
-        tensor (``chunk * beam_width`` rows × vocab) stays bounded however
-        many test users the split has.  With ``num_workers > 1`` the
+        batched scoring (IRN, the beam planner, Rec2Inf and vanilla) fuse all
+        instances that share a step index into single model forwards;
+        recommenders without it transparently fall back to the per-instance
+        loop.  Instances are processed in chunks of ``rollout_chunk_size`` so
+        the fused logits tensor (``chunk * beam_width`` rows × vocab) stays
+        bounded however many test users the split has.  With ``num_workers > 1`` the
         instances first hash-partition across worker shards, each shard
         running its own chunked rollout; the merged paths are identical.
         """
@@ -354,11 +349,8 @@ class IRSEvaluationProtocol:
         return IRSResult(
             framework=framework,
             max_length=self.max_length,
-            success=success_rate(records),
-            increase_of_interest=increase_of_interest(records, self.evaluator),
-            increment_of_rank=increment_of_rank(records, self.evaluator),
-            log_ppl=log_perplexity(records, self.evaluator),
             records=records,
+            **irs_metrics(records, self.evaluator),
         )
 
     def evaluate(self, recommender: InfluentialRecommender, name: str | None = None) -> IRSResult:
@@ -398,15 +390,14 @@ class IRSEvaluationProtocol:
         objective_sums = np.zeros(max_steps)
         item_sums = np.zeros(max_steps)
         counts = np.zeros(max_steps)
-        for record in kept:
-            objective_logs = self.evaluator.objective_log_probabilities(
-                record.history, record.path, record.objective
-            )
-            item_logs = self.evaluator.path_log_probabilities(record.history, record.path)
-            for step in range(len(record.path)):
-                objective_sums[step] += objective_logs[step]
-                item_sums[step] += item_logs[step]
-                counts[step] += 1
+        scores = self.evaluator.score_paths(
+            [(record.history, record.path, record.objective) for record in kept]
+        )
+        for score in scores:
+            steps = len(score.item_log_probs)
+            objective_sums[:steps] += score.objective_log_probs[:steps]
+            item_sums[:steps] += score.item_log_probs
+            counts[:steps] += 1
         counts[counts == 0] = 1
         return {
             "objective": list(objective_sums / counts),

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,12 +22,39 @@ from repro.utils.logging import get_logger
 from repro.utils.registry import Registry
 from repro.utils.rng import as_rng
 
-__all__ = ["SequentialRecommender", "NeuralSequentialRecommender", "model_registry"]
+__all__ = [
+    "SequentialRecommender",
+    "NeuralSequentialRecommender",
+    "model_registry",
+    "next_item_probabilities",
+]
 
 _LOGGER = get_logger("models")
 
 #: Registry mapping lower-case model names (``"sasrec"``, ``"pop"``, ...) to classes.
 model_registry: Registry["SequentialRecommender"] = Registry("recommender model")
+
+
+def next_item_probabilities(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``(batch, vocab)`` next-item scores.
+
+    Padding always gets probability 0 and non-finite scores get 0.  A row
+    with no finite score at all is spread uniformly over the real items.
+    Returns a new array; ``scores`` is left untouched.
+    """
+    scores = np.array(scores, dtype=np.float64, ndmin=2)
+    scores[:, PAD_INDEX] = -np.inf
+    finite = np.isfinite(scores)
+    peak = np.where(finite, scores, -np.inf).max(axis=1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    exp = np.where(finite, np.exp(scores - peak), 0.0)
+    total = exp.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0
+    if empty.any():
+        exp[empty] = 1.0
+        exp[empty, PAD_INDEX] = 0.0
+        total[empty] = max(scores.shape[1] - 1, 1)
+    return exp / total
 
 
 class SequentialRecommender(abc.ABC):
@@ -59,9 +87,9 @@ class SequentialRecommender(abc.ABC):
     ) -> np.ndarray:
         """Score many histories at once, returning a ``(batch, vocab)`` array.
 
-        The default implementation loops :meth:`score_next`; models with a
-        batched forward (IRN) override it to fuse the whole batch into one
-        network call.
+        The default implementation loops :meth:`score_next`; the neural
+        models (:class:`NeuralSequentialRecommender`, IRN) override it with
+        batched network forwards.
         """
         users = broadcast_user_indices(len(histories), user_indices)
         if not histories:
@@ -88,12 +116,7 @@ class SequentialRecommender(abc.ABC):
         self, history: Sequence[int], user_index: int | None = None
     ) -> np.ndarray:
         """Softmax-normalised next-item distribution (padding has probability 0)."""
-        scores = np.asarray(self.score_next(history, user_index), dtype=np.float64).copy()
-        scores[PAD_INDEX] = -np.inf
-        shifted = scores - np.max(scores[np.isfinite(scores)])
-        exp = np.where(np.isfinite(shifted), np.exp(shifted), 0.0)
-        total = exp.sum()
-        return exp / total if total > 0 else np.full_like(exp, 1.0 / max(len(exp) - 1, 1))
+        return next_item_probabilities(self.score_next(history, user_index))[0]
 
     def log_probability(
         self, history: Sequence[int], item: int, user_index: int | None = None
@@ -106,10 +129,7 @@ class SequentialRecommender(abc.ABC):
         self, history: Sequence[int], item: int, user_index: int | None = None
     ) -> int:
         """1-based rank of ``item`` among all items (1 = top recommendation)."""
-        scores = np.asarray(self.score_next(history, user_index), dtype=np.float64).copy()
-        scores[PAD_INDEX] = -np.inf
-        target = scores[item]
-        return int(np.sum(scores > target)) + 1
+        return self.rank_of_batch([history], [item], [user_index])[0]
 
     def rank_of_batch(
         self,
@@ -139,13 +159,30 @@ class SequentialRecommender(abc.ABC):
         exclude: Sequence[int] = (),
     ) -> list[int]:
         """Indices of the ``k`` highest-scoring items, excluding ``exclude``."""
-        scores = np.asarray(self.score_next(history, user_index), dtype=np.float64).copy()
-        scores[PAD_INDEX] = -np.inf
-        for item in exclude:
-            scores[item] = -np.inf
-        k = min(k, np.sum(np.isfinite(scores)))
-        order = np.argsort(-scores, kind="stable")
-        return [int(i) for i in order[:k]]
+        return self.top_k_batch([history], k, [user_index], [list(exclude)])[0]
+
+    def top_k_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        k: int,
+        user_indices: "Sequence[int | None] | None" = None,
+        excludes: "Sequence[Sequence[int]] | None" = None,
+    ) -> list[list[int]]:
+        """:meth:`top_k` of every history from one :meth:`score_next_batch` call.
+
+        Row ``b`` ranks the finite-scored items not in ``excludes[b]`` in
+        stable score order (ties keep index order), at most ``k`` of them.
+        """
+        scores = self.score_next_batch(histories, user_indices)
+        scores[:, PAD_INDEX] = -np.inf
+        if excludes is not None:
+            check_batch_lengths(len(histories), excludes=excludes)
+            lengths = [len(exclude) for exclude in excludes]
+            columns = np.fromiter(chain.from_iterable(excludes), dtype=np.int64, count=sum(lengths))
+            scores[np.repeat(np.arange(len(histories)), lengths), columns] = -np.inf
+        counts = np.minimum(np.isfinite(scores).sum(axis=1), k)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        return [order[row, :count].tolist() for row, count in enumerate(counts)]
 
     def recommend_next(
         self,
@@ -162,7 +199,7 @@ class NeuralSequentialRecommender(SequentialRecommender):
 
     Subclasses implement :meth:`_build` (construct the network once the corpus
     is known), :meth:`_loss` (loss on one padded batch) and
-    :meth:`score_next`.
+    :meth:`score_next_batch`; :meth:`score_next` is its batch-of-1 case.
     """
 
     def __init__(
@@ -207,6 +244,43 @@ class NeuralSequentialRecommender(SequentialRecommender):
     @abc.abstractmethod
     def _loss(self, batch: SequenceBatch, rng: np.random.Generator) -> Tensor:
         """Compute the training loss for one batch."""
+
+    @abc.abstractmethod
+    def score_next_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> np.ndarray:
+        """Score many histories in batched network forwards, ``(batch, vocab)``."""
+
+    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
+        return self.score_next_batch([history], [user_index])[0]
+
+    def _score_ragged(
+        self,
+        rows: Sequence[Sequence[int]],
+        forward: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
+    ) -> np.ndarray:
+        """Score ragged token rows with one no-grad forward per row length.
+
+        ``forward(items, index)`` maps an ``(n, length)`` block of equal-length
+        rows (``index`` holds their positions in ``rows``) to ``(n, vocab)``
+        scores.  Rows are never padded, so each row's scores are those of a
+        lone forward on it.  Padding is masked to ``-inf``.
+        """
+        self._require_fitted()
+        assert self.module is not None
+        scores = np.empty((len(rows), self.vocab_size), dtype=np.float64)
+        groups: dict[int, list[int]] = {}
+        for position, row in enumerate(rows):
+            groups.setdefault(len(row), []).append(position)
+        with no_grad():
+            for positions in groups.values():
+                index = np.asarray(positions, dtype=np.int64)
+                items = np.asarray([rows[i] for i in positions], dtype=np.int64)
+                scores[index] = forward(items, index)
+        scores[:, PAD_INDEX] = -np.inf
+        return scores
 
     # ------------------------------------------------------------------ #
     def fit(self, split: DatasetSplit) -> "NeuralSequentialRecommender":

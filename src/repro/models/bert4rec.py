@@ -22,7 +22,7 @@ from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.nn import functional as F
 from repro.nn.attention import NEG_INF
 from repro.nn.layers import Dropout, Embedding, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoder
 from repro.utils.rng import spawn_rng
 
@@ -127,14 +127,15 @@ class Bert4Rec(NeuralSequentialRecommender):
         logits = self.module(corrupted)
         return F.cross_entropy(logits, targets, ignore_index=PAD_INDEX)
 
-    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
+    def score_next_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> np.ndarray:
         self._require_fitted()
-        assert self.module is not None
-        history = clip_history(history, self.max_sequence_length - 1)
-        sequence = list(history) + [self.module.mask_token]
-        items = np.asarray([sequence], dtype=np.int64)
-        with no_grad():
-            logits = self.module(items)
-        scores = logits.data[0, -1].copy()
-        scores[PAD_INDEX] = -np.inf
-        return scores
+        mask_token = self.module.mask_token
+        rows = [
+            clip_history(history, self.max_sequence_length - 1) + [mask_token]
+            for history in histories
+        ]
+        return self._score_ragged(rows, lambda items, _index: self.module(items).data[:, -1])

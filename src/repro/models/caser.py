@@ -21,7 +21,8 @@ from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.nn import functional as F
 from repro.nn.conv import Conv2d
 from repro.nn.layers import Dropout, Embedding, Linear, Module, ModuleList
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate
+from repro.utils.batch import broadcast_user_indices
 from repro.utils.rng import spawn_rng
 
 __all__ = ["Caser"]
@@ -163,14 +164,16 @@ class Caser(NeuralSequentialRecommender):
             np.asarray(targets, dtype=np.int64),
         )
 
-    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
-        self._require_fitted()
-        assert self.module is not None
-        history = clip_history(history, self.window)
-        window = np.asarray([pre_pad(history, self.window)], dtype=np.int64)
-        user = np.asarray([user_index if user_index is not None else 0], dtype=np.int64)
-        with no_grad():
-            logits = self.module(window, user)
-        scores = logits.data[0].copy()
-        scores[PAD_INDEX] = -np.inf
-        return scores
+    def score_next_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> np.ndarray:
+        # Every window is pre-padded to ``window`` items, exactly as a lone
+        # row is, so all rows share one forward.
+        rows = [pre_pad(clip_history(history, self.window), self.window) for history in histories]
+        users = broadcast_user_indices(len(rows), user_indices)
+        users = np.asarray([0 if user is None else user for user in users], dtype=np.int64)
+        return self._score_ragged(
+            rows, lambda windows, index: self.module(windows, users[index]).data
+        )

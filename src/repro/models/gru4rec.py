@@ -17,7 +17,7 @@ from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Embedding, Linear, Module
 from repro.nn.rnn import GRU
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 __all__ = ["GRU4Rec"]
@@ -45,6 +45,11 @@ class _GRU4RecModule(Module):
         embedded = self.dropout(self.item_embedding(items))
         hidden_states, _ = self.gru(embedded)
         return self.output(hidden_states)
+
+    def score_last(self, items: np.ndarray) -> np.ndarray:
+        """Next-item logits read at the final position only, ``(batch, vocab)``."""
+        _, final = self.gru(self.dropout(self.item_embedding(items)))
+        return self.output(final).data
 
 
 @model_registry.register("gru4rec")
@@ -89,15 +94,10 @@ class GRU4Rec(NeuralSequentialRecommender):
         logits = self.module(inputs)
         return F.cross_entropy(logits, targets, ignore_index=0)
 
-    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
-        self._require_fitted()
-        assert self.module is not None
-        history = clip_history(history, self.max_sequence_length)
-        if not history:
-            history = [0]
-        items = np.asarray([history], dtype=np.int64)
-        with no_grad():
-            logits = self.module(items)
-        scores = logits.data[0, -1].copy()
-        scores[0] = -np.inf
-        return scores
+    def score_next_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> np.ndarray:
+        rows = [clip_history(history, self.max_sequence_length) or [0] for history in histories]
+        return self._score_ragged(rows, lambda items, _index: self.module.score_last(items))

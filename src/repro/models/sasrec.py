@@ -16,7 +16,7 @@ from repro.models._sequence_utils import clip_history, shifted_inputs_and_target
 from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Embedding, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoder, causal_mask
 from repro.utils.rng import spawn_rng
 
@@ -104,15 +104,10 @@ class SASRec(NeuralSequentialRecommender):
         logits = self.module(inputs)
         return F.cross_entropy(logits, targets, ignore_index=0)
 
-    def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
-        self._require_fitted()
-        assert self.module is not None
-        history = clip_history(history, self.max_sequence_length)
-        if not history:
-            history = [0]
-        items = np.asarray([history], dtype=np.int64)
-        with no_grad():
-            logits = self.module(items)
-        scores = logits.data[0, -1].copy()
-        scores[0] = -np.inf
-        return scores
+    def score_next_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> np.ndarray:
+        rows = [clip_history(history, self.max_sequence_length) or [0] for history in histories]
+        return self._score_ragged(rows, lambda items, _index: self.module(items).data[:, -1])

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.layers import Module, Parameter
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.tensor import Tensor, concatenate, is_grad_enabled
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_rng
 
@@ -61,6 +61,23 @@ class Conv2d(Module):
             )
         out_h = height - kh + 1
         out_w = width - kw + 1
+
+        if not is_grad_enabled():
+            # Fused inference path: one strided window view materialised in
+            # the layout of the concatenated patches below, then the same
+            # transpose/reshape, GEMM and bias add (bitwise-equal output:
+            # matching layouts keep NumPy on the same matmul kernel), without
+            # the kh * kw slice/reshape/concatenate graph nodes.
+            windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
+            patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+                batch, channels, kh * kw, out_h, out_w
+            )
+            columns = patches.transpose(0, 3, 4, 1, 2).reshape(
+                batch, out_h, out_w, channels * kh * kw
+            )
+            kernel = self.weight.data.reshape(self.out_channels, channels * kh * kw)
+            result = np.matmul(columns, kernel.T) + self.bias.data
+            return Tensor(result.transpose(0, 3, 1, 2))
 
         # im2col: gather every (kh, kw) patch as a row, as a single advanced
         # index so the gradient flows through Tensor.__getitem__.

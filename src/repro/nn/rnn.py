@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, is_grad_enabled, stack
 from repro.utils.rng import as_rng, spawn_rng
 
 __all__ = ["GRUCell", "GRU"]
@@ -72,8 +72,46 @@ class GRU(Module):
         batch, length, _ = x.shape
         if hidden is None:
             hidden = Tensor(np.zeros((batch, self.hidden_size)))
+        if not is_grad_enabled():
+            return self._forward_inference(x.data, hidden.data)
         outputs = []
         for step in range(length):
             hidden = self.cell(x[:, step, :], hidden)
             outputs.append(hidden)
         return stack(outputs, axis=1), hidden
+
+    def _forward_inference(
+        self, x: np.ndarray, hidden: np.ndarray
+    ) -> tuple[Tensor, Tensor]:
+        """Fused inference path on raw ndarrays (bitwise-equal to the graph path).
+
+        Every step issues the same GEMMs on the same operand views and the
+        same ufuncs in the same order as :meth:`GRUCell.forward` under
+        :func:`~repro.nn.functional.linear`'s no-grad branch, without the
+        per-op ``Tensor`` wrappers and backward closures.
+        """
+        cell = self.cell
+        reset_x, update_x, candidate_x = (
+            (layer.weight.data.T, layer.bias.data)
+            for layer in (cell.reset_x, cell.update_x, cell.candidate_x)
+        )
+        reset_h, update_h, candidate_h = (
+            layer.weight.data.T for layer in (cell.reset_h, cell.update_h, cell.candidate_h)
+        )
+        outputs = []
+        for step in range(x.shape[1]):
+            x_t = x[:, step, :]
+            reset = np.matmul(x_t, reset_x[0])
+            reset += reset_x[1]
+            reset = reset + np.matmul(hidden, reset_h)
+            reset = 1.0 / (1.0 + np.exp(-reset))
+            update = np.matmul(x_t, update_x[0])
+            update += update_x[1]
+            update = update + np.matmul(hidden, update_h)
+            update = 1.0 / (1.0 + np.exp(-update))
+            candidate = np.matmul(x_t, candidate_x[0])
+            candidate += candidate_x[1]
+            candidate = np.tanh(candidate + reset * np.matmul(hidden, candidate_h))
+            hidden = (1.0 - update) * candidate + update * hidden
+            outputs.append(hidden)
+        return Tensor(np.stack(outputs, axis=1)), Tensor(hidden)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.evaluation.evaluator import PathScores
 from repro.evaluation.metrics import (
     hit_ratio_at_k,
     increase_of_interest,
@@ -34,6 +35,20 @@ class _UniformEvaluator:
 
     def path_log_probabilities(self, history, path):
         return [self.log_probability(i, history) for i in path]
+
+    def score_paths(self, paths):
+        """The batched evaluator interface, assembled from the scalar fakes above."""
+        scores = []
+        for history, path, objective in paths:
+            prefixes = [list(history) + list(path[:k]) for k in range(len(path) + 1)]
+            scores.append(
+                PathScores(
+                    objective_log_probs=tuple(self.log_probability(objective, p) for p in prefixes),
+                    objective_ranks=tuple(self.rank(objective, p) for p in prefixes),
+                    item_log_probs=tuple(self.path_log_probabilities(history, path)),
+                )
+            )
+        return scores
 
 
 class _SequenceAwareEvaluator(_UniformEvaluator):
